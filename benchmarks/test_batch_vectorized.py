@@ -58,7 +58,7 @@ def _engine() -> PPKWS:
     priv.add_labels("m1", {"kw0"})
     priv.add_labels("m2", {"kw1"})
     priv.add_labels("m3", {"kw2"})
-    engine = PPKWS(pub, sketch_k=2, freeze=True)
+    engine = PPKWS(pub, sketch_k=2)
     engine.attach("u", priv)
     return engine
 

@@ -30,7 +30,7 @@ from typing import TYPE_CHECKING, Dict, FrozenSet, List, Optional, Sequence, Tup
 from repro.core.budget import QueryBudget
 from repro.core.qualify import is_public_private_answer as _is_public_private_answer
 from repro.exceptions import GraphError, OwnerNotAttachedError, QueryError
-from repro.graph.frozen import freeze as _freeze
+from repro.graph.frozen import FrozenGraph, freeze
 from repro.graph.labeled_graph import Label, LabeledGraph, Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
@@ -69,12 +69,21 @@ __all__ = [
 # ----------------------------------------------------------------------
 @dataclass
 class PublicIndex:
-    """The user-independent indexes over the public graph (Sec. V-A/B)."""
+    """The user-independent indexes over the public graph (Sec. V-A/B).
 
-    graph: "GraphLike"
+    :attr:`graph` is always a :class:`~repro.graph.frozen.FrozenGraph`:
+    a mutable graph passed in is frozen on construction, so every engine
+    built over an index — built, loaded or shipped to a shard worker —
+    queries the frozen public graph.
+    """
+
+    graph: FrozenGraph
     pads: DistanceSketch
     kpads: KeywordSketch
     pagerank_scores: Dict[Vertex, float]
+
+    def __post_init__(self) -> None:
+        self.graph = freeze(self.graph)
 
     @classmethod
     def build(
@@ -83,22 +92,18 @@ class PublicIndex:
         k: int = 2,
         alpha: float = 0.85,
         kpads_per_center: int = 4,
-        freeze: bool = True,
     ) -> "PublicIndex":
         """PageRank, then PADS with bottom-``k`` parameter, then KPADS.
 
         ``kpads_per_center`` controls the depth of KPADS candidate lists
         (used by PP-knk completion; 1 = the paper's minimal merge).
 
-        With ``freeze=True`` (the default) the public graph is first
-        interned into a :class:`~repro.graph.frozen.FrozenGraph`; index
-        construction then runs over flat CSR arrays and the returned
-        index carries the frozen graph as :attr:`graph`.  Pass
-        ``freeze=False`` to index the mutable graph as-is (the dynamic
-        public-update workflows do this).
+        The public graph is first interned into a
+        :class:`~repro.graph.frozen.FrozenGraph` (a no-op when it is one
+        already); index construction runs over its flat CSR arrays and
+        the returned index carries it as :attr:`graph`.
         """
-        if freeze:
-            graph = _freeze(graph)
+        graph = freeze(graph)
         scores = pagerank(graph, alpha=alpha)
         pads = build_pads(graph, k=k, ranks=scores)
         kpads = build_kpads(graph, pads, per_center=kpads_per_center)
@@ -258,9 +263,9 @@ class QueryOptions:
     ``"pure"`` runs the reference dict/heap code, ``"vectorized"`` the
     numpy kernels of :mod:`repro.core.vectorized` (bit-identical
     answers, enforced by the equivalence suite), ``"auto"`` picks
-    vectorized when the engine supports it (frozen public graph, numpy
-    importable, strictly positive weights) and silently falls back to
-    pure otherwise.  Per-call arguments override this default.
+    vectorized when the engine supports it (strictly positive public
+    edge weights) and silently falls back to pure otherwise.  Per-call
+    arguments override this default.
     """
 
     reduced_refinement: bool = True
@@ -313,11 +318,10 @@ class PPKWS:
         alpha: float = 0.85,
         options: Optional[QueryOptions] = None,
         index: Optional[PublicIndex] = None,
-        freeze: bool = True,
     ) -> None:
         self.options = options or QueryOptions()
         self.index = index if index is not None else PublicIndex.build(
-            public, k=sketch_k, alpha=alpha, freeze=freeze
+            public, k=sketch_k, alpha=alpha
         )
         if (
             self.index.graph is not public
@@ -327,10 +331,10 @@ class PPKWS:
             )
         ):
             raise GraphError("provided index was built over a different graph")
-        # The index's graph is authoritative: PublicIndex.build freezes
-        # the public graph by default, so queries run over the same
-        # (possibly frozen) backend the sketches were built from.
-        self.public = self.index.graph
+        # The index's graph is authoritative: PublicIndex freezes it on
+        # construction, so queries run over the same frozen graph the
+        # sketches were built from.
+        self.public: FrozenGraph = self.index.graph
         self._provider = self.index.provider()
         self._attachments: Dict[str, Attachment] = {}
         # Guards mutations of (and iteration over) the attachment map so

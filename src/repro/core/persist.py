@@ -174,9 +174,9 @@ def load_index(graph: "GraphLike", path: PathLike) -> PublicIndex:
 
     ``graph`` must be the same public graph the index was built over
     (checked by vertex count; deeper consistency is the caller's
-    responsibility, exactly as with any on-disk index).  Either backend
-    works; pass a :class:`~repro.graph.frozen.FrozenGraph` to get a
-    frozen engine from a loaded index.
+    responsibility, exactly as with any on-disk index).  The returned
+    index carries ``graph`` frozen through :func:`repro.graph.freeze`,
+    like a freshly built one.
 
     Raises :class:`~repro.exceptions.IndexCorruptError` when the file
     fails its integrity checks (truncation, bit flip, version skew) and

@@ -22,8 +22,8 @@ orders winners by it to assign pop ranks, and rebuilds the result dicts
 in rank order — same distances (identical float additions), same
 witnesses, same dict insertion order as the heap loop.
 
-Unsupported configurations (dict backend, numpy missing, non-positive
-edge weights) transparently fall back to the pure step bodies; an
+The one unsupported configuration (a public graph with non-positive
+edge weights) transparently falls back to the pure step bodies; an
 explicit ``execution_mode="vectorized"`` request that falls back is
 counted in ``ppkws_vectorized_fallbacks_total``.
 """
@@ -32,10 +32,11 @@ from __future__ import annotations
 
 from typing import Any, Dict, List, Optional, Sequence, Tuple
 
+import numpy as np
+
 from repro.core.budget import QueryBudget
 from repro.core.partial import PartialAnswer
 from repro.exceptions import QueryError
-from repro.graph.frozen import FrozenGraph
 from repro.graph.labeled_graph import Label, Vertex
 from repro.graph.traversal import INF
 from repro.obs.hooks import (
@@ -45,14 +46,6 @@ from repro.obs.hooks import (
 )
 from repro.semantics.answers import Match, RootedAnswer
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as np
-
-    _NUMPY = True
-except Exception:  # pragma: no cover - containers without numpy
-    np = None  # type: ignore[assignment]
-    _NUMPY = False
-
 __all__ = [
     "EXECUTION_MODES",
     "RankedMerge",
@@ -61,7 +54,6 @@ __all__ = [
     "VectorizedPlan",
     "VectorizedRuntime",
     "merge_rank",
-    "numpy_available",
     "offset_sweep_batch",
     "plan_for",
     "validate_execution_mode",
@@ -95,11 +87,6 @@ class SweepCover(Dict[Vertex, Match]):
         self.dists: Any = None
 
 
-def numpy_available() -> bool:
-    """Whether the numpy kernels can run at all in this interpreter."""
-    return _NUMPY
-
-
 def validate_execution_mode(mode: str) -> str:
     """Validate a wire/user-supplied execution mode (closed set)."""
     if mode not in EXECUTION_MODES:
@@ -120,8 +107,6 @@ class VectorizedRuntime:
 
     def __init__(self, engine: Any) -> None:
         public = engine.public
-        if not isinstance(public, FrozenGraph):  # pragma: no cover - guarded
-            raise TypeError("VectorizedRuntime requires a FrozenGraph public side")
         self.engine = engine
         self.public = public
         indptr, indices, weights = public.csr()  # ra: ignore[RA005]
@@ -868,23 +853,20 @@ _UNSUPPORTED = object()
 def runtime_for(engine: Any) -> Optional[VectorizedRuntime]:
     """The engine's cached :class:`VectorizedRuntime`, or None.
 
-    None means this engine cannot run vectorized kernels at all: numpy
-    missing, a dict-backend public graph, or non-positive edge weights.
+    None means this engine cannot run vectorized kernels at all: its
+    public graph has a non-positive edge weight.
     """
     cached = getattr(engine, "_vectorized_runtime", None)
     if cached is _UNSUPPORTED:
         return None
     if isinstance(cached, VectorizedRuntime):
         return cached
-    if not _NUMPY or not isinstance(engine.public, FrozenGraph):
+    runtime = VectorizedRuntime(engine)
+    if not runtime.supported:
         # Deliberate engine mutation: `_vectorized_runtime` is a
         # write-once memo slot derived purely from the frozen public
         # graph, so caching it on the engine cannot perturb answers.
         # ra: ignore[RA012]
-        engine._vectorized_runtime = _UNSUPPORTED
-        return None
-    runtime = VectorizedRuntime(engine)
-    if not runtime.supported:
         engine._vectorized_runtime = _UNSUPPORTED
         return None
     engine._vectorized_runtime = runtime

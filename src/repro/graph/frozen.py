@@ -518,10 +518,11 @@ class FrozenGraph:
 def freeze(graph, name: Optional[str] = None) -> FrozenGraph:
     """Intern ``graph`` into a :class:`FrozenGraph` (no-op when frozen).
 
-    This is the single entry point the framework uses at the two places
-    a public graph becomes immutable: :meth:`PublicIndex.build
-    <repro.core.framework.PublicIndex.build>` and
-    :meth:`PPKWSService.create_network <repro.service.PPKWSService.create_network>`.
+    The single entry point every public-graph consumer freezes through:
+    :class:`~repro.core.framework.PublicIndex` (built, loaded or shipped
+    to a shard), :meth:`PPKWSService.create_network
+    <repro.service.PPKWSService.create_network>`, PageRank and the
+    Algo-6 sketch builder.
     """
     if isinstance(graph, FrozenGraph):
         return graph

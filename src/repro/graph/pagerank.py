@@ -1,40 +1,34 @@
-"""PageRank over any graph backend.
+"""PageRank over the frozen public graph.
 
 PADS (paper Sec. V-A) ranks vertices by PageRank rather than by random
 values: high-PageRank vertices lie on many shortest paths and make good
 sketch centers.  The paper says "we employ any efficient algorithms to
-obtain the PageRank" — we provide three interchangeable backends:
+obtain the PageRank": :func:`pagerank` freezes its input (a no-op for
+the public graph, which is frozen already) and runs one power iteration
+as array sweeps straight over the interned ``indptr``/``indices``
+buffers — no per-edge Python loop at all.
 
-* a pure-dict power iteration (no dependencies, good for small graphs and
-  easy to verify),
-* a numpy backend (vectorized; flattens adjacency through the generic
-  read API), and
-* a CSR backend for :class:`~repro.graph.frozen.FrozenGraph` (array
-  sweep straight over the interned ``indptr``/``indices`` buffers — no
-  per-edge Python loop at all).
-
-All treat the undirected graph as a random walk with uniform transition
-probability over neighbors, damping ``alpha`` and uniform teleport, and
-visit edges in the same order, so their results agree to within float
-rounding (bit-identical between the numpy and CSR backends).
+:func:`pagerank_pure` is the dictionary power iteration kept as the
+reference the tests compare against.  Both treat the undirected graph as
+a random walk with uniform transition probability over neighbors,
+damping ``alpha`` and uniform teleport, and visit edges in the same
+order, so their results agree to within float rounding.
 """
 
 from __future__ import annotations
 
-from typing import TYPE_CHECKING, Dict, Optional
+from typing import TYPE_CHECKING, Dict
 
 import numpy as np
 
 from repro.exceptions import GraphError
-from repro.graph.frozen import FrozenGraph
+from repro.graph.frozen import freeze
 from repro.graph.labeled_graph import Vertex
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.graph.protocol import GraphLike
 
-__all__ = ["pagerank", "pagerank_pure", "pagerank_numpy", "pagerank_csr"]
-
-_NUMPY_THRESHOLD = 2000
+__all__ = ["pagerank", "pagerank_pure"]
 
 
 def pagerank(
@@ -42,37 +36,46 @@ def pagerank(
     alpha: float = 0.85,
     max_iter: int = 100,
     tol: float = 1e-8,
-    backend: Optional[str] = None,
 ) -> Dict[Vertex, float]:
     """PageRank scores ``pr: V -> [0, 1]``, summing to 1.
 
-    Parameters
-    ----------
-    alpha:
-        Damping factor in (0, 1).
-    backend:
-        ``"pure"``, ``"numpy"``, ``"csr"`` or ``None`` (auto-select by
-        graph size and backend; frozen graphs above the size threshold
-        use the CSR sweep).
+    ``alpha`` is the damping factor in (0, 1).  The iteration stops once
+    the L1 change between two sweeps drops below ``tol`` or after
+    ``max_iter`` sweeps.
     """
     if not 0.0 < alpha < 1.0:
         raise GraphError(f"alpha must be in (0, 1), got {alpha}")
-    if graph.num_vertices == 0:
+    frozen = freeze(graph)
+    n = frozen.num_vertices
+    if n == 0:
         return {}
-    if backend is None:
-        if graph.num_vertices < _NUMPY_THRESHOLD:
-            backend = "pure"
-        elif isinstance(graph, FrozenGraph):
-            backend = "csr"
-        else:
-            backend = "numpy"
-    if backend == "pure":
-        return pagerank_pure(graph, alpha, max_iter, tol)
-    if backend == "numpy":
-        return pagerank_numpy(graph, alpha, max_iter, tol)
-    if backend == "csr":
-        return pagerank_csr(graph, alpha, max_iter, tol)
-    raise GraphError(f"unknown pagerank backend {backend!r}")
+    indptr_a, indices_a, _ = frozen.csr()
+    # ``indices`` *is* the destination array of the random-walk matrix;
+    # the source array is one ``np.repeat`` over the ``indptr`` gaps.
+    gaps = np.diff(np.frombuffer(indptr_a, dtype=np.int64))
+    src = np.repeat(np.arange(n, dtype=np.int64), gaps)
+    dst = (
+        np.frombuffer(indices_a, dtype=np.int64)
+        if len(indices_a)
+        else np.zeros(0, dtype=np.int64)
+    )
+    deg = gaps.astype(np.float64)
+    dangling = deg == 0
+    safe_deg = np.where(dangling, 1.0, deg)
+
+    rank = np.full(n, 1.0 / n)
+    for _ in range(max_iter):
+        contrib = alpha * rank / safe_deg
+        nxt = np.zeros(n)
+        np.add.at(nxt, dst, contrib[src])
+        dangling_mass = rank[dangling].sum()
+        nxt += (1.0 - alpha) / n + alpha * dangling_mass / n
+        delta = np.abs(nxt - rank).sum()
+        rank = nxt
+        if delta < tol:
+            break
+    vx = frozen.vertex_table
+    return {vx[i]: float(rank[i]) for i in range(n)}
 
 
 def pagerank_pure(
@@ -81,14 +84,7 @@ def pagerank_pure(
     max_iter: int = 100,
     tol: float = 1e-8,
 ) -> Dict[Vertex, float]:
-    """Dictionary-based power iteration (reference implementation).
-
-    On a :class:`FrozenGraph` the same iteration runs over interned id
-    lists (:func:`_pagerank_pure_frozen`); every float operation happens
-    in the same order, so the scores are bit-identical across backends.
-    """
-    if isinstance(graph, FrozenGraph):
-        return _pagerank_pure_frozen(graph, alpha, max_iter, tol)
+    """Dictionary-based power iteration (the reference implementation)."""
     n = graph.num_vertices
     rank = {v: 1.0 / n for v in graph.vertices()}
     base = (1.0 - alpha) / n
@@ -112,133 +108,3 @@ def pagerank_pure(
         if delta < tol:
             break
     return rank
-
-
-def _pagerank_pure_frozen(
-    graph: FrozenGraph,
-    alpha: float,
-    max_iter: int,
-    tol: float,
-) -> Dict[Vertex, float]:
-    """:func:`pagerank_pure` over interned ids and flat adjacency lists.
-
-    Mirrors the dict implementation operation-for-operation (interning
-    order equals the source dict's iteration order, and neighbor order is
-    preserved by construction), so the returned floats are identical.
-    The transient ``tolist`` copies exist only for the duration of the
-    call — plain-list indexing is markedly faster than ``array`` access.
-    """
-    n = graph.num_vertices
-    indptr_a, indices_a, _ = graph.csr()
-    indptr = indptr_a.tolist()
-    indices = indices_a.tolist()
-    rank = [1.0 / n] * n
-    base = (1.0 - alpha) / n
-    for _ in range(max_iter):
-        nxt = [0.0] * n
-        dangling_mass = 0.0
-        for i in range(n):
-            start, end = indptr[i], indptr[i + 1]
-            if start == end:
-                dangling_mass += rank[i]
-                continue
-            share = alpha * rank[i] / (end - start)
-            for pos in range(start, end):
-                nxt[indices[pos]] += share
-        spread = base + alpha * dangling_mass / n
-        delta = 0.0
-        for i in range(n):
-            x = nxt[i] + spread
-            nxt[i] = x
-            delta += abs(x - rank[i])
-        rank = nxt
-        if delta < tol:
-            break
-    vx = graph.vertex_table
-    return {vx[i]: rank[i] for i in range(n)}
-
-
-def _power_iterate(
-    src: np.ndarray,
-    dst: np.ndarray,
-    deg: np.ndarray,
-    n: int,
-    alpha: float,
-    max_iter: int,
-    tol: float,
-) -> np.ndarray:
-    """Shared edge-array power iteration for the vectorized backends."""
-    rank = np.full(n, 1.0 / n)
-    dangling = deg == 0
-    safe_deg = np.where(dangling, 1.0, deg)
-    for _ in range(max_iter):
-        contrib = alpha * rank / safe_deg
-        nxt = np.zeros(n)
-        np.add.at(nxt, dst, contrib[src])
-        dangling_mass = rank[dangling].sum()
-        nxt += (1.0 - alpha) / n + alpha * dangling_mass / n
-        if np.abs(nxt - rank).sum() < tol:
-            rank = nxt
-            break
-        rank = nxt
-    return rank
-
-
-def pagerank_numpy(
-    graph: "GraphLike",
-    alpha: float = 0.85,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> Dict[Vertex, float]:
-    """Vectorized power iteration over flattened adjacency arrays."""
-    verts = list(graph.vertices())
-    index = {v: i for i, v in enumerate(verts)}
-    n = len(verts)
-
-    # Flatten adjacency into (src, dst) arrays; undirected edges appear
-    # twice, once per direction, which is exactly the random-walk matrix.
-    srcs = []
-    dsts = []
-    for v in verts:
-        vi = index[v]
-        for u in graph.neighbors(v):
-            srcs.append(vi)
-            dsts.append(index[u])
-    src = np.asarray(srcs, dtype=np.int64)
-    dst = np.asarray(dsts, dtype=np.int64)
-    deg = np.zeros(n, dtype=np.float64)
-    np.add.at(deg, src, 1.0)
-
-    rank = _power_iterate(src, dst, deg, n, alpha, max_iter, tol)
-    return {v: float(rank[index[v]]) for v in verts}
-
-
-def pagerank_csr(
-    graph: FrozenGraph,
-    alpha: float = 0.85,
-    max_iter: int = 100,
-    tol: float = 1e-8,
-) -> Dict[Vertex, float]:
-    """Array sweep straight over the frozen CSR buffers.
-
-    Equivalent to :func:`pagerank_numpy` (same edge order, so identical
-    rounding) but skips the per-edge Python flattening loop: ``indices``
-    *is* the destination array, and the source array is one
-    ``np.repeat`` over the ``indptr`` gaps.
-    """
-    if not isinstance(graph, FrozenGraph):
-        raise GraphError("the 'csr' pagerank backend requires a FrozenGraph")
-    n = graph.num_vertices
-    indptr_a, indices_a, _ = graph.csr()
-    indptr = np.frombuffer(indptr_a, dtype=np.int64)
-    if len(indices_a):
-        dst = np.frombuffer(indices_a, dtype=np.int64)
-    else:
-        dst = np.zeros(0, dtype=np.int64)
-    gaps = np.diff(indptr)
-    src = np.repeat(np.arange(n, dtype=np.int64), gaps)
-    deg = gaps.astype(np.float64)
-
-    rank = _power_iterate(src, dst, deg, n, alpha, max_iter, tol)
-    vx = graph.vertex_table
-    return {vx[i]: float(rank[i]) for i in range(n)}

@@ -1073,8 +1073,8 @@ class PPKWSService:
             else:
                 # No pool (or a not-yet-replicated network): run the
                 # sharded step bodies inline so ``fanout`` behaves the
-                # same everywhere — this is also the dict-backend path
-                # the equivalence suite pins bit-identical.
+                # same everywhere; the equivalence suite pins this path
+                # bit-identical to the serial one.
                 shards = LocalShardPlan(engine, owner=request["owner"])
         result = spec.run(
             engine,

@@ -61,7 +61,7 @@ from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from repro.exceptions import FaultInjectedError, ReproError, WorkerKilledError
 from repro.faults.points import SHARD_WORKER
-from repro.graph.frozen import FrozenGraph, freeze
+from repro.graph.frozen import FrozenGraph
 from repro.obs.registry import MetricsRegistry
 
 __all__ = ["LocalShardPlan", "ShardPartition", "ShardServingPool"]
@@ -87,10 +87,9 @@ class ShardPartition:
     pays, reported in pool health.
     """
 
-    def __init__(self, graph: Any, shards: int) -> None:
+    def __init__(self, frozen: FrozenGraph, shards: int) -> None:
         if shards < 1:
             raise ValueError("shards must be positive")
-        frozen = graph if isinstance(graph, FrozenGraph) else freeze(graph)
         # Balancing needs per-vertex edge counts and the frontier needs
         # raw neighbor ids — one O(E) pass over the flat buffers, vs.
         # E dict lookups through the protocol.
@@ -139,7 +138,7 @@ class ShardPartition:
 
 
 # ----------------------------------------------------------------------
-# the in-process plan (tests / dict-backend fallback)
+# the in-process plan (tests)
 # ----------------------------------------------------------------------
 class LocalShardPlan:
     """Scatter-gather over the *local* engine: same plan surface, no IPC.
@@ -147,8 +146,8 @@ class LocalShardPlan:
     Runs every shard task inline through the registered handler against
     the parent's own engine, preserving the scatter order, bound updates
     and cancellation logic — so the equivalence suite can pin the
-    sharded step bodies bit-identical to the serial ones on any backend
-    without paying for a process pool.
+    sharded step bodies bit-identical to the serial ones without paying
+    for a process pool.
     """
 
     def __init__(self, engine: Any, shards: int = 2, owner: str = "") -> None:
@@ -247,10 +246,9 @@ def _apply_admin(host: _WorkerHost, pending: Dict[str, list], rec: tuple) -> Non
         if name in svc.networks():
             graph = svc._engine(name).public
             svc.drop_network(name)
-            if isinstance(graph, FrozenGraph):
-                # Unpin the shared pages now — a GC'd memoryview export
-                # would otherwise make SharedMemory.__del__ noisy.
-                graph.release_shared()
+            # Unpin the shared pages now — a GC'd memoryview export
+            # would otherwise make SharedMemory.__del__ noisy.
+            graph.release_shared()
     else:  # pragma: no cover - protocol drift guard
         raise ReproError(f"unknown admin record {op!r}")
 
@@ -274,9 +272,8 @@ def _shard_worker_main(shard_id: int, conn: Any, bounds: Any) -> None:
         op = msg[0]
         if op == "stop":
             for name in svc.networks():
-                graph = svc._engine(name).public
-                if isinstance(graph, FrozenGraph):
-                    graph.release_shared()  # unpin before interpreter exit
+                # unpin before interpreter exit
+                svc._engine(name).public.release_shared()
             conn.send(("ok", None))
             return
         if op == "ping":
@@ -508,11 +505,9 @@ class ShardServingPool:
 
     def admin_create(self, name: str, engine: Any) -> None:
         """Replicate ``name``: export the graph, ship handle + index."""
-        graph = engine.public
-        frozen = graph if isinstance(graph, FrozenGraph) else freeze(graph)
-        handle, segments = frozen.export_shared()
+        handle, segments = engine.public.export_shared()
         self._segments[name] = segments
-        self._partitions[name] = ShardPartition(frozen, len(self._workers))
+        self._partitions[name] = ShardPartition(engine.public, len(self._workers))
         index = engine.index
         self._broadcast((
             "create", name, handle,

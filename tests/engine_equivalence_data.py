@@ -84,9 +84,7 @@ def seeded_network(seed: int) -> Tuple[LabeledGraph, LabeledGraph]:
     return public, private
 
 
-def build_engine(
-    seed: int, freeze: bool = True, ablate: bool = False
-) -> PPKWS:
+def build_engine(seed: int, ablate: bool = False) -> PPKWS:
     """A PPKWS engine over the seeded pair with ``"owner"`` attached.
 
     ``ablate=True`` turns both Sec.-VI optimizations off (full ARefine
@@ -99,13 +97,13 @@ def build_engine(
         if ablate
         else None
     )
-    engine = PPKWS(public, sketch_k=2, freeze=freeze, options=options)
+    engine = PPKWS(public, sketch_k=2, options=options)
     engine.attach("owner", private)
     return engine
 
 
 # ----------------------------------------------------------------------
-# canonicalization (JSON-able, backend- and refactor-independent)
+# canonicalization (JSON-able, refactor-independent)
 # ----------------------------------------------------------------------
 def _canon_rooted_answer(answer: Any) -> Dict[str, Any]:
     out: Dict[str, Any] = {
@@ -246,7 +244,7 @@ def run_workload(engine: PPKWS) -> Dict[str, List[Dict[str, Any]]]:
     return out
 
 
-def capture_all(freeze: bool = True) -> Dict[str, Any]:
+def capture_all() -> Dict[str, Any]:
     """The full golden payload: one workload run per seed.
 
     Each seed runs the default-options workload plus the ablated-options
@@ -254,9 +252,9 @@ def capture_all(freeze: bool = True) -> Dict[str, Any]:
     """
     seeds: Dict[str, Any] = {}
     for seed in SEEDS:
-        per_seed: Dict[str, Any] = run_workload(build_engine(seed, freeze))
+        per_seed: Dict[str, Any] = run_workload(build_engine(seed))
         per_seed["ablation"] = run_ablation_workload(
-            build_engine(seed, freeze, ablate=True)
+            build_engine(seed, ablate=True)
         )
         seeds[str(seed)] = per_seed
     return {"format": 1, "seeds": seeds}

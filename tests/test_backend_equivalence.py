@@ -1,11 +1,12 @@
-"""Frozen vs dict engines return identical answers across all pipelines.
+"""Pipelines over the frozen public graph: soundness, sharding, reuse.
 
-The tentpole guarantee of the frozen backend is *transparency*: a PPKWS
-engine whose public graph was interned into CSR arrays must return the
-same answers, distances and work counters as one built over the plain
-dict graph.  These tests build both engines side by side on the shared
-fixtures and compare every query pipeline (blinks, rclique, banks, knk,
-knk_multi) plus the indexes themselves.
+The public graph is always a :class:`~repro.graph.frozen.FrozenGraph`
+(the index freezes it), while private graphs stay mutable
+:class:`~repro.graph.LabeledGraph` s.  These tests check that every query
+pipeline over that mixed pair returns answers that exact Dijkstra on the
+materialized combined graph ``pub.union(priv)`` accepts, that sharded
+runs are bit-identical to serial ones, and that one frozen index can
+back many engines.
 """
 
 from __future__ import annotations
@@ -14,22 +15,12 @@ import pytest
 
 from repro.core.framework import PPKWS
 from repro.graph import FrozenGraph, LabeledGraph
+from repro.validation import validate_knk_answer, validate_rooted_answer
 from tests.conftest import random_connected_graph
 
 
-def _engines(pub, priv, owner="bob"):
-    """(frozen engine, dict engine) over the same public/private pair."""
-    frozen = PPKWS(pub, sketch_k=2, freeze=True)
-    plain = PPKWS(pub, sketch_k=2, freeze=False)
-    assert isinstance(frozen.public, FrozenGraph)
-    assert isinstance(plain.public, LabeledGraph)
-    frozen.attach(owner, priv)
-    plain.attach(owner, priv)
-    return frozen, plain
-
-
 def _canon_rooted(answers):
-    """Backend-independent form of a rooted answer list (order preserved)."""
+    """Comparable form of a rooted answer list (order preserved)."""
     return [
         (
             a.root,
@@ -41,108 +32,8 @@ def _canon_rooted(answers):
     ]
 
 
-def _canon_knk(answer):
-    return (
-        answer.source,
-        answer.keyword,
-        [(m.vertex, m.distance) for m in answer.matches],
-    )
-
-
-@pytest.fixture
-def engine_pair(small_public_private):
-    pub, priv = small_public_private
-    return _engines(pub, priv)
-
-
-# ----------------------------------------------------------------------
-# index equivalence
-# ----------------------------------------------------------------------
-class TestIndexEquivalence:
-    def test_pagerank_scores_identical(self, engine_pair):
-        frozen, plain = engine_pair
-        assert frozen.index.pagerank_scores == plain.index.pagerank_scores
-
-    def test_pads_identical(self, engine_pair):
-        frozen, plain = engine_pair
-        assert frozen.index.pads.entries == plain.index.pads.entries
-
-    def test_kpads_identical(self, engine_pair):
-        frozen, plain = engine_pair
-        assert frozen.index.kpads.entries == plain.index.kpads.entries
-        assert frozen.index.kpads.witnesses == plain.index.kpads.witnesses
-        assert frozen.index.kpads.candidates == plain.index.kpads.candidates
-
-    def test_attachments_identical(self, engine_pair):
-        frozen, plain = engine_pair
-        af = frozen.attachment("bob")
-        ap = plain.attachment("bob")
-        assert af.portals == ap.portals
-        assert af.refined_portal_pairs == ap.refined_portal_pairs
-        for p in af.portals:
-            for q in af.portals:
-                assert af.portal_map.get(p, q) == ap.portal_map.get(p, q)
-
-
-# ----------------------------------------------------------------------
-# query-pipeline equivalence on the shared fixture
-# ----------------------------------------------------------------------
-class TestPipelineEquivalence:
-    @pytest.mark.parametrize("keywords,tau", [
-        (["db", "ai"], 4.0),
-        (["db", "cv"], 6.0),
-        (["ml", "ai"], 5.0),
-    ])
-    def test_blinks(self, engine_pair, keywords, tau):
-        frozen, plain = engine_pair
-        rf = frozen.blinks("bob", keywords, tau=tau, k=5)
-        rp = plain.blinks("bob", keywords, tau=tau, k=5)
-        assert _canon_rooted(rf.answers) == _canon_rooted(rp.answers)
-        assert rf.counters == rp.counters
-        assert not rf.degraded and not rp.degraded
-
-    @pytest.mark.parametrize("keywords,tau", [
-        (["db", "ai"], 4.0),
-        (["db", "cv"], 6.0),
-    ])
-    def test_rclique(self, engine_pair, keywords, tau):
-        frozen, plain = engine_pair
-        rf = frozen.rclique("bob", keywords, tau=tau, k=5)
-        rp = plain.rclique("bob", keywords, tau=tau, k=5)
-        assert _canon_rooted(rf.answers) == _canon_rooted(rp.answers)
-        assert rf.counters == rp.counters
-
-    def test_banks_including_tree_edges(self, engine_pair):
-        frozen, plain = engine_pair
-        rf = frozen.banks("bob", ["db", "ai"], tau=4.0, k=5)
-        rp = plain.banks("bob", ["db", "ai"], tau=4.0, k=5)
-        assert _canon_rooted(rf.answers) == _canon_rooted(rp.answers)
-        for af, ap in zip(rf.answers, rp.answers):
-            assert af.edges == ap.edges
-
-    @pytest.mark.parametrize("source,keyword", [
-        ("x1", "cv"), ("x1", "db"), (2, "ml"), (5, "ai"),
-    ])
-    def test_knk(self, engine_pair, source, keyword):
-        frozen, plain = engine_pair
-        rf = frozen.knk("bob", source, keyword, k=4)
-        rp = plain.knk("bob", source, keyword, k=4)
-        assert _canon_knk(rf.answer) == _canon_knk(rp.answer)
-        assert rf.counters == rp.counters
-
-    @pytest.mark.parametrize("mode", ["and", "or"])
-    def test_knk_multi(self, engine_pair, mode):
-        frozen, plain = engine_pair
-        rf = frozen.knk_multi("bob", "x1", ["db", "ai"], k=5, mode=mode)
-        rp = plain.knk_multi("bob", "x1", ["db", "ai"], k=5, mode=mode)
-        assert _canon_knk(rf.answer) == _canon_knk(rp.answer)
-
-
-# ----------------------------------------------------------------------
-# query-pipeline equivalence on random public/private pairs
-# ----------------------------------------------------------------------
-@pytest.mark.parametrize("seed", [2, 9])
-def test_random_graph_pipeline_equivalence(seed):
+def _random_pair(seed):
+    """A random public graph plus a private graph with two portals."""
     labels = ("t0", "t1", "t2")
     pub = random_connected_graph(60, 25, seed, labels=labels)
     priv = LabeledGraph("priv")
@@ -152,24 +43,37 @@ def test_random_graph_pipeline_equivalence(seed):
     priv.add_edge("m2", 13)
     priv.add_labels("m1", {"t0"})
     priv.add_labels("m2", {"t1"})
-    frozen, plain = _engines(pub, priv)
+    return pub, priv
 
-    rf = frozen.blinks("bob", ["t0", "t1"], tau=6.0, k=5)
-    rp = plain.blinks("bob", ["t0", "t1"], tau=6.0, k=5)
-    assert _canon_rooted(rf.answers) == _canon_rooted(rp.answers)
-    assert rf.counters == rp.counters
 
-    rf = frozen.rclique("bob", ["t0", "t2"], tau=6.0, k=5)
-    rp = plain.rclique("bob", ["t0", "t2"], tau=6.0, k=5)
-    assert _canon_rooted(rf.answers) == _canon_rooted(rp.answers)
+# ----------------------------------------------------------------------
+# query-pipeline soundness on random public/private pairs
+# ----------------------------------------------------------------------
+@pytest.mark.parametrize("seed", [2, 9])
+def test_random_graph_pipeline_equivalence(seed):
+    """Every pipeline's answers pass exact validation on ``pub ⊕ priv``."""
+    pub, priv = _random_pair(seed)
+    engine = PPKWS(pub, sketch_k=2)
+    assert isinstance(engine.public, FrozenGraph)
+    engine.attach("bob", priv)
+    gc = pub.union(priv)
 
-    kf = frozen.knk("bob", "m1", "t2", k=3)
-    kp = plain.knk("bob", "m1", "t2", k=3)
-    assert _canon_knk(kf.answer) == _canon_knk(kp.answer)
+    for run, keywords in ((engine.blinks, ["t0", "t1"]),
+                          (engine.rclique, ["t0", "t2"])):
+        result = run("bob", keywords, tau=6.0, k=5)
+        assert result.answers and not result.degraded
+        for answer in result.answers:
+            report = validate_rooted_answer(gc, answer, 6.0, pub, priv)
+            assert report.valid, report.problems
 
-    kf = frozen.knk_multi("bob", "m2", ["t0", "t2"], k=3, mode="and")
-    kp = plain.knk_multi("bob", "m2", ["t0", "t2"], k=3, mode="and")
-    assert _canon_knk(kf.answer) == _canon_knk(kp.answer)
+    knk = engine.knk("bob", "m1", "t2", k=3).answer
+    assert len(knk.matches) == 3
+    report = validate_knk_answer(gc, knk)
+    assert report.valid, report.problems
+
+    multi = engine.knk_multi("bob", "m2", ["t0", "t2"], k=3, mode="and").answer
+    report = validate_knk_answer(gc, multi, conjunctive_keywords=["t0", "t2"])
+    assert report.valid, report.problems
 
 
 # ----------------------------------------------------------------------
@@ -183,46 +87,40 @@ def test_sharded_run_bit_identical(seed, shards):
     Runs knk and blinks through ``spec.run`` with a
     :class:`~repro.serving.shards.LocalShardPlan` (the same scatter /
     bound / cancellation logic the process pool drives, minus the IPC)
-    on both backends and compares against the serial runs — wire
-    payloads included, so ordering is pinned too.
+    and compares against the serial runs — wire payloads included, so
+    ordering is pinned too.
     """
     from repro.core.engine import ensure_builtin_semantics, semantics_spec
     from repro.serving import LocalShardPlan
 
     ensure_builtin_semantics()
-    labels = ("t0", "t1", "t2")
-    pub = random_connected_graph(60, 25, seed, labels=labels)
-    priv = LabeledGraph("priv")
-    priv.add_edge(0, "m1")
-    priv.add_edge("m1", "m2")
-    priv.add_edge("m2", 13)
-    priv.add_labels("m1", {"t0"})
-    priv.add_labels("m2", {"t1"})
+    pub, priv = _random_pair(seed)
     queries = [
         ("knk", {"source": "m1", "keyword": "t2", "k": 4}),
         ("blinks", {"keywords": ["t0", "t1"], "tau": 8.0, "k": 5}),
     ]  # wire-style requests; wire_params fills each spec's defaults
-    for engine in _engines(pub, priv):
-        att = engine.attachment("bob")
-        for name, request in queries:
-            spec = semantics_spec(name)
-            params = spec.wire_params(dict(request))
-            serial = spec.run(engine, att, dict(params))
-            sharded = spec.run(
-                engine, att, dict(params),
-                shards=LocalShardPlan(engine, shards=shards, owner="bob"),
-            )
-            def payload(result):
-                # strip the per-step wall times — the one legitimately
-                # nondeterministic field
-                out = spec.wire_payload(result)
-                out.pop("breakdown", None)
-                return out
+    engine = PPKWS(pub, sketch_k=2)
+    engine.attach("bob", priv)
+    att = engine.attachment("bob")
+    for name, request in queries:
+        spec = semantics_spec(name)
+        params = spec.wire_params(dict(request))
+        serial = spec.run(engine, att, dict(params))
+        sharded = spec.run(
+            engine, att, dict(params),
+            shards=LocalShardPlan(engine, shards=shards, owner="bob"),
+        )
 
-            assert payload(sharded) == payload(serial), (
-                f"{name} diverged on seed={seed} shards={shards} "
-                f"backend={type(engine.public).__name__}"
-            )
+        def payload(result):
+            # strip the per-step wall times — the one legitimately
+            # nondeterministic field
+            out = spec.wire_payload(result)
+            out.pop("breakdown", None)
+            return out
+
+        assert payload(sharded) == payload(serial), (
+            f"{name} diverged on seed={seed} shards={shards}"
+        )
 
 
 def test_shared_frozen_index_reuse(small_public_private):

@@ -5,7 +5,9 @@ from __future__ import annotations
 
 import pytest
 
-from repro.cli import build_parser, main
+from repro.cli import _load_engine, build_parser, main
+from repro.core.vectorized import plan_for
+from repro.graph import FrozenGraph
 
 
 @pytest.fixture(scope="module")
@@ -70,6 +72,19 @@ class TestQuery:
         ])
         assert code == 0
         assert "answers" in capsys.readouterr().out
+
+    def test_engine_from_persisted_index_is_frozen(self, dataset_dir,
+                                                   tmp_path):
+        idx = tmp_path / "idx.jsonl"
+        assert main(["index", "--graph", str(dataset_dir / "public.graph"),
+                     "--out", str(idx)]) == 0
+        args = build_parser().parse_args([
+            "query", *self._common(dataset_dir), "--index", str(idx),
+            "--semantic", "blinks", "--keywords", "t0,t1",
+        ])
+        engine = _load_engine(args)
+        assert isinstance(engine.public, FrozenGraph)
+        assert plan_for(engine, "vectorized") is not None
 
     def test_knk_query(self, dataset_dir, capsys):
         code = main([

@@ -6,13 +6,6 @@ by the pre-refactor pipelines.  This suite re-runs the identical
 workload against the current code and asserts exact equality — answers,
 counters, ``completed_steps``/``interrupted_step`` bookkeeping and the
 degraded salvage paths all included.
-
-The backend dimension is driven by ``REPRO_ENGINE_BACKEND`` so CI's
-``semantics-matrix`` job can pin one backend per matrix leg:
-
-* ``dict``   — mutable adjacency-dict backend only
-* ``frozen`` — frozen CSR-style backend only
-* unset      — both
 """
 
 from __future__ import annotations
@@ -33,11 +26,6 @@ from tests.engine_equivalence_data import (
 DATA = os.path.join(os.path.dirname(__file__), "data",
                     "engine_equivalence.json")
 
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
-
-
 @pytest.fixture(scope="module")
 def golden() -> Dict[str, Any]:
     with open(DATA, "r", encoding="utf-8") as fh:
@@ -56,25 +44,20 @@ def _diff_runs(expected: List[Dict[str, Any]],
         )
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS, ids=lambda f: "frozen" if f else "dict")
 @pytest.mark.parametrize("seed", SEEDS)
-def test_workload_bit_identical(golden: Dict[str, Any], seed: int,
-                                freeze: bool) -> None:
+def test_workload_bit_identical(golden: Dict[str, Any], seed: int) -> None:
     expected = golden["seeds"][str(seed)]
-    actual = run_workload(build_engine(seed, freeze=freeze))
+    actual = run_workload(build_engine(seed))
     for semantics in ("blinks", "rclique", "banks", "knk", "knk_multi"):
         _diff_runs(expected[semantics], actual[semantics],
                    f"seed {seed} {semantics}")
 
 
-@pytest.mark.parametrize("freeze", _BACKENDS, ids=lambda f: "frozen" if f else "dict")
 @pytest.mark.parametrize("seed", SEEDS)
-def test_ablated_workload_bit_identical(golden: Dict[str, Any], seed: int,
-                                        freeze: bool) -> None:
+def test_ablated_workload_bit_identical(golden: Dict[str, Any],
+                                        seed: int) -> None:
     expected = golden["seeds"][str(seed)]["ablation"]
-    actual = run_ablation_workload(
-        build_engine(seed, freeze=freeze, ablate=True)
-    )
+    actual = run_ablation_workload(build_engine(seed, ablate=True))
     for semantics in ("blinks", "rclique", "knk"):
         _diff_runs(expected[semantics], actual[semantics],
                    f"seed {seed} ablation/{semantics}")

@@ -1,4 +1,4 @@
-"""Tests for PageRank (both backends)."""
+"""Tests for PageRank: the CSR power iteration and its dict reference."""
 
 from __future__ import annotations
 
@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GraphError
-from repro.graph import LabeledGraph, pagerank, pagerank_numpy, pagerank_pure
+from repro.graph import LabeledGraph, pagerank, pagerank_pure
 from tests.conftest import random_connected_graph
 
 
@@ -43,15 +43,11 @@ class TestPagerankBasics:
         with pytest.raises(GraphError):
             pagerank(triangle_graph, alpha=1.0)
 
-    def test_unknown_backend(self, triangle_graph):
-        with pytest.raises(GraphError):
-            pagerank(triangle_graph, backend="magic")
-
     def test_dangling_vertices_handled(self):
         g = LabeledGraph.from_edges([(0, 1)])
         g.add_vertex(2)  # isolated: dangling mass redistributes
-        for backend in ("pure", "numpy"):
-            scores = pagerank(g, backend=backend)
+        for run in (pagerank, pagerank_pure):
+            scores = run(g)
             assert sum(scores.values()) == pytest.approx(1.0, abs=1e-6)
             assert scores[2] > 0
 
@@ -62,11 +58,27 @@ class TestBackendAgreement:
     def test_pure_and_numpy_agree(self, seed):
         g = random_connected_graph(30, 12, seed)
         pure = pagerank_pure(g, max_iter=200, tol=1e-12)
-        vec = pagerank_numpy(g, max_iter=200, tol=1e-12)
+        csr = pagerank(g, max_iter=200, tol=1e-12)
         for v in g.vertices():
-            assert pure[v] == pytest.approx(vec[v], abs=1e-6)
+            assert pure[v] == pytest.approx(csr[v], abs=1e-9)
 
-    def test_auto_backend_selects(self, triangle_graph):
-        # Small graph goes pure; both produce a full score map.
-        scores = pagerank(triangle_graph)
-        assert set(scores) == {"a", "b", "c"}
+    @pytest.mark.parametrize("seed", [3, 8])
+    def test_fixed_point_residual(self, seed):
+        """The scores solve ``r = alpha P r + (1 - alpha + alpha D) / n``.
+
+        ``P`` is the uniform random walk over neighbors and ``D`` the
+        mass sitting on dangling (isolated) vertices.
+        """
+        alpha = 0.85
+        g = random_connected_graph(50, 20, seed)
+        g.add_vertex("isolated")
+        r = pagerank(g, alpha=alpha, max_iter=500, tol=1e-13)
+        n = g.num_vertices
+        dangling = sum(r[v] for v in g.vertices() if g.degree(v) == 0)
+        residual = 0.0
+        for v in g.vertices():
+            inflow = sum(r[u] / g.degree(u) for u in g.neighbors(v))
+            rhs = alpha * inflow + (1.0 - alpha + alpha * dangling) / n
+            residual += abs(r[v] - rhs)
+        assert residual < 1e-10
+        assert sum(r.values()) == pytest.approx(1.0, abs=1e-12)

@@ -7,8 +7,9 @@ import json
 import pytest
 
 from repro.core import PPKWS, PublicIndex, load_index, save_index
+from repro.core.vectorized import plan_for
 from repro.exceptions import IndexBuildError
-from repro.graph import LabeledGraph
+from repro.graph import FrozenGraph, LabeledGraph
 from tests.conftest import random_connected_graph
 
 
@@ -63,6 +64,18 @@ class TestRoundTrip:
         assert [a.sort_key() for a in r1.answers] == [
             a.sort_key() for a in r2.answers
         ]
+
+    def test_engine_from_loaded_index_is_frozen(self, tmp_path,
+                                                small_public_private):
+        """Loading over a mutable graph still yields a frozen engine."""
+        pub, _ = small_public_private
+        path = tmp_path / "idx.jsonl"
+        save_index(PublicIndex.build(pub, k=2), path)
+        loaded = load_index(pub, path)
+        assert isinstance(loaded.graph, FrozenGraph)
+        engine = PPKWS(pub, index=loaded)
+        assert isinstance(engine.public, FrozenGraph)
+        assert plan_for(engine, "vectorized") is not None
 
     def test_string_vertices(self, tmp_path, paper_public_graph):
         index = PublicIndex.build(paper_public_graph, k=2)

@@ -75,7 +75,7 @@ def make_service(**kwargs):
 class TestShardPartition:
     def test_sizes_cover_every_vertex(self):
         pub, _ = build_graphs()
-        part = ShardPartition(pub, 3)
+        part = ShardPartition(freeze(pub), 3)
         assert part.num_shards == 3
         assert sum(part.sizes()) == pub.num_vertices
         assert all(s >= 0 for s in part.sizes())
@@ -91,18 +91,18 @@ class TestShardPartition:
 
     def test_private_only_vertex_lands_on_shard_zero(self):
         pub, _ = build_graphs()
-        part = ShardPartition(pub, 2)
+        part = ShardPartition(freeze(pub), 2)
         assert part.shard_of("not-a-public-vertex") == 0
 
     def test_single_shard_has_empty_frontier(self):
         pub, _ = build_graphs()
-        part = ShardPartition(pub, 1)
+        part = ShardPartition(freeze(pub), 1)
         assert part.frontier == 0
         assert part.sizes() == [pub.num_vertices]
 
     def test_frontier_bounded_by_edge_count(self):
         pub, _ = build_graphs()
-        part = ShardPartition(pub, 3)
+        part = ShardPartition(freeze(pub), 3)
         assert 0 < part.frontier <= pub.num_edges
 
     def test_more_shards_than_vertices_pads_empty(self):
@@ -110,14 +110,14 @@ class TestShardPartition:
         g.add_vertex("a", ["x"])
         g.add_vertex("b", [])
         g.add_edge("a", "b", 1.0)
-        part = ShardPartition(g, 5)
+        part = ShardPartition(freeze(g), 5)
         assert sum(part.sizes()) == 2
         assert len(part.sizes()) == 5
 
     def test_zero_shards_rejected(self):
         pub, _ = build_graphs()
         with pytest.raises(ValueError):
-            ShardPartition(pub, 0)
+            ShardPartition(freeze(pub), 0)
 
 
 # ----------------------------------------------------------------------

@@ -11,10 +11,9 @@ levels:
   ``top_candidates_many`` against the ``KeywordSketch`` scans, on the
   seeded equivalence networks plus a tie-heavy unit-weight graph;
 * **query level** — full pipelines through :class:`BatchSession` in
-  ``execution_mode="pure"`` vs ``"vectorized"``, across backends
-  (honouring ``REPRO_ENGINE_BACKEND``), seeds, semantics (including the
-  ones that only have a pure path and must fall back), batch sizes and
-  budget degradation.
+  ``execution_mode="pure"`` vs ``"vectorized"``, across seeds,
+  semantics (including the ones that only have a pure path and must
+  fall back), batch sizes and budget degradation.
 
 Counters note: rooted pipelines are compared *minus* counters —
 vectorized AComplete accounts probe/cache work differently (one batched
@@ -25,7 +24,6 @@ counters and all.
 
 from __future__ import annotations
 
-import os
 import random
 
 import pytest
@@ -50,7 +48,7 @@ from repro.core.framework import (
 from repro.core.pp_blinks import _offset_sweep
 from repro.core.vectorized import (
     SweepMemo,
-    numpy_available,
+    VectorizedRuntime,
     offset_sweep_batch,
     plan_for,
     runtime_for,
@@ -67,17 +65,6 @@ from tests.engine_equivalence_data import (
     canon_rooted_result,
     seeded_network,
 )
-
-# Same contract as test_engine_equivalence: CI exports
-# REPRO_ENGINE_BACKEND to split the matrix; locally both backends run.
-_BACKENDS = {"dict": (False,), "frozen": (True,)}.get(
-    os.environ.get("REPRO_ENGINE_BACKEND", ""), (False, True)
-)
-
-needs_numpy = pytest.mark.skipif(
-    not numpy_available(), reason="vectorized path needs numpy"
-)
-
 
 def _no_counters(canon):
     out = dict(canon)
@@ -105,17 +92,16 @@ def _tie_engine():
             g.add_edge(u, v, 1.0)
     for v in range(n):
         g.add_labels(v, {"a"} if v % 3 == 0 else {"b"})
-    return PPKWS(g, sketch_k=2, freeze=True)
+    return PPKWS(g, sketch_k=2)
 
 
 # ----------------------------------------------------------------------
 # kernel level
 # ----------------------------------------------------------------------
-@needs_numpy
 class TestSweepKernel:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_random_columns_match_pure(self, seed):
-        engine = build_engine(seed, freeze=True)
+        engine = build_engine(seed)
         runtime = runtime_for(engine)
         assert runtime is not None
         rng = random.Random(seed * 31 + 7)
@@ -156,7 +142,7 @@ class TestSweepKernel:
                 assert got == want
 
     def test_memo_returns_identical_results_without_rerunning(self):
-        engine = build_engine(11, freeze=True)
+        engine = build_engine(11)
         plan = plan_for(engine, "vectorized", memo=SweepMemo())
         assert plan is not None
         seeds = [(0.0, v, f"w{v}") for v in sorted(
@@ -168,11 +154,10 @@ class TestSweepKernel:
         assert list(again[0]) == list(first[0])
 
 
-@needs_numpy
 class TestSketchKernels:
     @pytest.mark.parametrize("seed", SEEDS)
     def test_probe_many_matches_pure(self, seed):
-        engine = build_engine(seed, freeze=True)
+        engine = build_engine(seed)
         runtime = runtime_for(engine)
         assert runtime is not None
         kpads, pads = engine.index.kpads, engine.index.pads
@@ -186,7 +171,7 @@ class TestSketchKernels:
 
     @pytest.mark.parametrize("seed", SEEDS)
     def test_top_candidates_many_matches_pure(self, seed):
-        engine = build_engine(seed, freeze=True)
+        engine = build_engine(seed)
         runtime = runtime_for(engine)
         assert runtime is not None
         kpads, pads = engine.index.kpads, engine.index.pads
@@ -207,10 +192,9 @@ class TestSketchKernels:
 # full-query level
 # ----------------------------------------------------------------------
 class TestFullQueryEquivalence:
-    @pytest.mark.parametrize("freeze", _BACKENDS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_rooted_semantics(self, seed, freeze):
-        engine = build_engine(seed, freeze)
+    def test_rooted_semantics(self, seed):
+        engine = build_engine(seed)
         pure = BatchSession(engine, "owner", execution_mode="pure")
         vec = BatchSession(engine, "owner", execution_mode="vectorized")
         for keywords, tau, k in KEYWORD_QUERIES:
@@ -220,13 +204,12 @@ class TestFullQueryEquivalence:
                 rp = canon_rooted_result(pure.query(semantics, **params))
                 rv = canon_rooted_result(vec.query(semantics, **params))
                 assert _no_counters(rp) == _no_counters(rv), (
-                    semantics, keywords, tau, k, freeze
+                    semantics, keywords, tau, k
                 )
 
-    @pytest.mark.parametrize("freeze", _BACKENDS)
     @pytest.mark.parametrize("seed", SEEDS)
-    def test_knk_with_exact_counters(self, seed, freeze):
-        engine = build_engine(seed, freeze)
+    def test_knk_with_exact_counters(self, seed):
+        engine = build_engine(seed)
         pure = BatchSession(engine, "owner", execution_mode="pure")
         vec = BatchSession(engine, "owner", execution_mode="vectorized")
         members = _members(engine)
@@ -240,11 +223,10 @@ class TestFullQueryEquivalence:
                 )
                 # k-nk AComplete replicates the pure candidate scan
                 # one-to-one, so even the counters must match.
-                assert rp == rv, (source, keyword, freeze)
+                assert rp == rv, (source, keyword)
 
-    @pytest.mark.parametrize("freeze", _BACKENDS)
-    def test_knk_multi_falls_back_identically(self, freeze):
-        engine = build_engine(23, freeze)
+    def test_knk_multi_falls_back_identically(self):
+        engine = build_engine(23)
         pure = BatchSession(engine, "owner", execution_mode="pure")
         vec = BatchSession(engine, "owner", execution_mode="vectorized")
         source = _members(engine)[0]
@@ -259,11 +241,10 @@ class TestFullQueryEquivalence:
             ))
             assert rp == rv
 
-    @pytest.mark.parametrize("freeze", _BACKENDS)
     @pytest.mark.parametrize("batch_size", (1, 3, 6))
-    def test_batched_workloads_with_memo_reuse(self, freeze, batch_size):
+    def test_batched_workloads_with_memo_reuse(self, batch_size):
         """One memo-sharing session == fresh pure runs, any batch size."""
-        engine = build_engine(37, freeze)
+        engine = build_engine(37)
         queries = [
             {"keywords": list(kw), "tau": tau, "k": k,
              "require_public_private": True}
@@ -280,18 +261,17 @@ class TestFullQueryEquivalence:
             assert _no_counters(canon_rooted_result(result)) == _no_counters(
                 canon_rooted_result(want)
             )
-        if freeze and numpy_available() and batch_size > len(queries):
+        if batch_size > len(queries):
             assert vec.sweep_memo.hits > 0
 
-    @pytest.mark.parametrize("freeze", _BACKENDS)
-    def test_budget_degradation_parity_in_shared_steps(self, freeze):
+    def test_budget_degradation_parity_in_shared_steps(self):
         """Budgets expiring in PEval degrade identically, counters and all.
 
         PEval/ARefine run the same pure code in both modes, so a cap that
         binds there must produce the same salvage answers, the same
         ``interrupted_step`` *and* the same counters.
         """
-        engine = build_engine(11, freeze)
+        engine = build_engine(11)
         pure = BatchSession(engine, "owner", execution_mode="pure")
         vec = BatchSession(engine, "owner", execution_mode="vectorized")
         keywords, tau, k = KEYWORD_QUERIES[0]
@@ -308,9 +288,8 @@ class TestFullQueryEquivalence:
             assert rp["interrupted_step"] == "peval"
             assert rp == rv
 
-    @pytest.mark.parametrize("freeze", _BACKENDS)
-    def test_expired_deadline_degrades_both_modes(self, freeze):
-        engine = build_engine(11, freeze)
+    def test_expired_deadline_degrades_both_modes(self):
+        engine = build_engine(11)
         keywords, tau, k = KEYWORD_QUERIES[0]
         params = dict(keywords=list(keywords), tau=tau, k=k,
                       require_public_private=True)
@@ -324,11 +303,10 @@ class TestFullQueryEquivalence:
 
     def test_engine_options_mode_threads_through_query(self):
         """An engine whose *default* mode is vectorized answers like pure."""
-        engine = build_engine(11, freeze=True)
+        engine = build_engine(11)
         pub, priv = seeded_network(11)
         vec_engine = PPKWS(
-            pub, sketch_k=2, freeze=True,
-            options=QueryOptions(execution_mode="vectorized"),
+            pub, sketch_k=2, options=QueryOptions(execution_mode="vectorized"),
         )
         vec_engine.attach("owner", priv)
         keywords, tau, k = KEYWORD_QUERIES[1]
@@ -362,15 +340,22 @@ class TestModeSelection:
                 keywords=["a"], tau=4.0, k=2, require_public_private=True,
             )
 
-    @needs_numpy
     def test_auto_picks_vectorized_on_frozen(self):
-        engine = build_engine(11, freeze=True)
+        engine = build_engine(11)
         assert plan_for(engine, "auto") is not None
         assert plan_for(engine, "vectorized") is not None
         assert plan_for(engine, "pure") is None
 
-    def test_dict_backend_falls_back(self):
-        engine = build_engine(11, freeze=False)
+    def test_unsupported_runtime_falls_back(self, monkeypatch):
+        """A runtime that cannot run (non-positive weights) falls back."""
+        real_init = VectorizedRuntime.__init__
+
+        def unsupported(runtime, engine):
+            real_init(runtime, engine)
+            runtime.supported = False
+
+        monkeypatch.setattr(VectorizedRuntime, "__init__", unsupported)
+        engine = build_engine(11)
         registry = obs.MetricsRegistry()
         obs.install(registry)
         try:
