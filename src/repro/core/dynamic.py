@@ -10,12 +10,13 @@ fixed.
 the per-user PPKWS state consistent under mutation:
 
 * **edge/vertex insertion** is handled *incrementally*: adding an edge
-  ``(u, v, w)`` can only shorten distances, so the vertex-portal map, the
-  portal-keyword map and the private portal map are repaired by bounded
-  relaxations seeded at the two endpoints — no full rebuild.
+  ``(u, v, w)`` can only shorten distances, so the vertex-portal map and
+  the portal-keyword map are repaired by bounded relaxations seeded at
+  the two endpoints, and ``dc`` is re-closed with the stored public
+  portal map — no full rebuild, no search of ``G``.
 * **edge/vertex deletion** can lengthen distances, which monotone
   relaxation cannot repair; deletions therefore trigger a rebuild of the
-  per-user maps (still cheap: ``O(|P| (|G'| log |G'| + |P|^2))``).
+  per-user maps, swapped in without detaching the owner.
 
 Both paths produce exactly the state :meth:`PPKWS.attach` would build
 from scratch (tested by comparing against a fresh attachment).
@@ -31,11 +32,6 @@ from repro.core.framework import Attachment, PPKWS
 from repro.exceptions import GraphError
 from repro.graph.labeled_graph import LabeledGraph, Vertex
 from repro.graph.traversal import INF
-from repro.portals.distance_map import (
-    all_pairs_portal_distances,
-    refine_portal_distances,
-)
-from repro.portals.oracle import CombinedDistanceOracle
 
 __all__ = ["DynamicPrivateGraph"]
 
@@ -95,7 +91,11 @@ class DynamicPrivateGraph:
             return
         self._relax_from(u)
         self._relax_from(v)
-        self._refresh_portal_map()
+        # neither G nor the portal set changed: only dc is re-closed
+        self.engine._replace_attachment(self.owner, Attachment.assemble(
+            att.owner, att.private, att.portals, att.public_portal_map,
+            att.oracle.pkd, att.oracle.vertex_portal, att.oracle.public,
+        ))
 
     def add_vertex(self, v: Vertex, labels: Optional[set] = None) -> None:
         """Add an isolated private vertex (labels optional).
@@ -139,15 +139,16 @@ class DynamicPrivateGraph:
         """Remove a private vertex and its edges (rebuild).
 
         Portals may be removed; the attachment must keep at least one
-        portal or the user can no longer receive public-private answers.
+        portal or the user can no longer receive public-private answers,
+        so that case is rejected before anything changes.
         """
         att = self.attachment
-        att.private.remove_vertex(v)
         if not any(p in att.private for p in att.portals if p != v):
             raise GraphError(
                 "removing this vertex would leave the private graph "
                 "with no portal nodes"
             )
+        att.private.remove_vertex(v)
         self._rebuild()
 
     # ------------------------------------------------------------------
@@ -194,32 +195,9 @@ class DynamicPrivateGraph:
                     if nd < vpm.get(nbr, p):
                         heapq.heappush(heap, (nd, next(counter), nbr))
 
-    def _refresh_portal_map(self) -> None:
-        """Recompute the Algo-7 combined portal map from the repaired
-        private distances (the |P|^2 fixpoint is cheap)."""
-        att = self.attachment
-        private_pm = all_pairs_portal_distances(att.private, att.portals)
-        public_pm = all_pairs_portal_distances(self.engine.public, att.portals)
-        combined_pm, refined = refine_portal_distances(public_pm, private_pm)
-        new_att = Attachment(
-            owner=att.owner,
-            private=att.private,
-            portals=att.portals,
-            portal_map=combined_pm,
-            private_portal_map=private_pm,
-            refined_portal_pairs=frozenset(refined),
-            oracle=CombinedDistanceOracle(
-                att.private,
-                combined_pm,
-                att.oracle.vertex_portal,
-                att.oracle.pkd,
-                att.oracle.public,
-            ),
-        )
-        self.engine._replace_attachment(self.owner, new_att)
-
     def _rebuild(self) -> None:
         """Full per-user rebuild (used for non-monotone changes)."""
-        private = self.attachment.private
-        self.engine.detach(self.owner)
-        self.engine.attach(self.owner, private)
+        self.engine._replace_attachment(
+            self.owner,
+            self.engine._build_attachment(self.owner, self.attachment.private),
+        )

@@ -7,8 +7,9 @@ Usage mirrors the paper's deployment story:
    user-independent.
 2. :meth:`PPKWS.attach` a user's private graph: portal discovery, the
    small per-user maps (portal distances on both sides, the Algo-7
-   combined refinement, PKD, vertex-portal distances) are built here in
-   ``O(|P| * (|G'| + |P|^2))`` — cheap because ``|G'| << |G|``.
+   combined refinement, PKD, vertex-portal distances) are built here
+   with one Dijkstra per portal on each of ``G`` and ``G'`` plus an
+   ``O(|P|^3)`` numpy closure — cheap because ``|G'| << |G|``.
 3. Query via :meth:`PPKWS.rclique`, :meth:`PPKWS.blinks` or
    :meth:`PPKWS.knk`; each runs PEval / ARefine / AComplete and returns
    the answers plus a per-step timing breakdown (the quantity plotted in
@@ -40,9 +41,14 @@ from repro.graph.public_private import combine, portal_nodes
 from repro.portals.distance_map import (
     PortalDistanceMap,
     all_pairs_portal_distances,
+    private_portal_distances,
     refine_portal_distances,
 )
-from repro.portals.keyword_map import build_private_maps
+from repro.portals.keyword_map import (
+    PortalKeywordDistanceMap,
+    VertexPortalDistanceMap,
+    build_private_maps,
+)
 from repro.portals.oracle import CombinedDistanceOracle, SketchPublicDistance
 from repro.semantics.answers import KnkAnswer, RootedAnswer
 from repro.sketches.base import DistanceSketch
@@ -125,9 +131,39 @@ class Attachment:
     portal_map: PortalDistanceMap
     #: private-graph-only portal distances d'(p_i, p_j)
     private_portal_map: PortalDistanceMap
+    #: public-graph-only portal distances d(p_i, p_j), reused by dynamic repair
+    public_portal_map: PortalDistanceMap
     #: portal pairs (both orientations) that got strictly shorter in Gc
     refined_portal_pairs: FrozenSet[Tuple[Vertex, Vertex]]
     oracle: CombinedDistanceOracle
+
+    @classmethod
+    def assemble(
+        cls,
+        owner: str,
+        private: LabeledGraph,
+        portals: FrozenSet[Vertex],
+        public_portal_map: PortalDistanceMap,
+        pkd: PortalKeywordDistanceMap,
+        vertex_portal: VertexPortalDistanceMap,
+        public: SketchPublicDistance,
+    ) -> "Attachment":
+        """The one builder of per-user state: ``d'`` is read off
+        ``vertex_portal`` and closed with ``public_portal_map`` into ``dc``."""
+        private_pm = private_portal_distances(vertex_portal, portals)
+        combined_pm, refined = refine_portal_distances(public_portal_map, private_pm)
+        return cls(
+            owner=owner,
+            private=private,
+            portals=portals,
+            portal_map=combined_pm,
+            private_portal_map=private_pm,
+            public_portal_map=public_portal_map,
+            refined_portal_pairs=frozenset(refined),
+            oracle=CombinedDistanceOracle(
+                private, combined_pm, vertex_portal, pkd, public
+            ),
+        )
 
     @property
     def has_refined_portals(self) -> bool:
@@ -358,34 +394,27 @@ class PPKWS:
         """
         if owner in self._attachments:
             raise GraphError(f"owner {owner!r} already attached")
-        portals = portal_nodes(self.public, private)
-        if not portals:
-            raise GraphError(
-                f"private graph of {owner!r} has no portal nodes; "
-                "public-private answers cannot exist"
-            )
-        private_pm = all_pairs_portal_distances(private, portals)
-        public_pm = all_pairs_portal_distances(self.public, portals)
-        combined_pm, refined = refine_portal_distances(public_pm, private_pm)
-        pkd, vpm = build_private_maps(private, portals)
-        oracle = CombinedDistanceOracle(
-            private, combined_pm, vpm, pkd, self._provider
-        )
-        attachment = Attachment(
-            owner=owner,
-            private=private,
-            portals=portals,
-            portal_map=combined_pm,
-            private_portal_map=private_pm,
-            refined_portal_pairs=frozenset(refined),
-            oracle=oracle,
-        )
+        attachment = self._build_attachment(owner, private)
         with self._attachments_lock:
             if owner in self._attachments:
                 raise GraphError(f"owner {owner!r} already attached")
             self._attachments[owner] = attachment
             self._attachment_epoch += 1
         return attachment
+
+    def _build_attachment(self, owner: str, private: LabeledGraph) -> Attachment:
+        """Build ``owner``'s per-user state from scratch without publishing it."""
+        portals = portal_nodes(self.public, private)
+        if not portals:
+            raise GraphError(
+                f"private graph of {owner!r} has no portal nodes; "
+                "public-private answers cannot exist"
+            )
+        public_pm = all_pairs_portal_distances(self.public, portals)
+        pkd, vpm = build_private_maps(private, portals)
+        return Attachment.assemble(
+            owner, private, portals, public_pm, pkd, vpm, self._provider
+        )
 
     def detach(self, owner: str) -> None:
         """Drop an attachment (the user logged out).  Thread-safe."""
@@ -396,7 +425,7 @@ class PPKWS:
             self._attachment_epoch += 1
 
     def _replace_attachment(self, owner: str, attachment: Attachment) -> None:
-        """Swap in repaired per-user state (dynamic incremental updates).
+        """Swap in repaired or rebuilt per-user state (dynamic updates).
 
         Takes the attachment lock like :meth:`attach`/:meth:`detach` and
         bumps the epoch: the repaired maps can change which answers are

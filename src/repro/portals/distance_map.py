@@ -1,16 +1,19 @@
-"""Portal distance maps and their combined-graph refinement (Sec. V-C).
+"""Portal distance maps and their combined-graph closure (Sec. V-C).
 
 Portals are the only places where shortest paths can cross between the
 public and private graphs, and there are few of them, so PPKWS
 precomputes:
 
 * ``d(p_i, p_j)``  — all-pairs portal distances on the public graph ``G``,
-* ``d'(p_i, p_j)`` — all-pairs portal distances on the private graph ``G'``,
+* ``d'(p_i, p_j)`` — all-pairs portal distances on the private graph
+  ``G'``, read off the vertex-portal map (its one Dijkstra per portal
+  already settles every other portal),
 
 and then *refines* them into the combined-graph portal distances
-``dc(p_i, p_j)`` with the fixpoint of the paper's Algo 7: start from the
-pointwise minimum of the two maps and repeatedly relax triangles through
-other portals until nothing improves.  The result equals the true
+``dc(p_i, p_j)``: a ``|P| x |P|`` matrix seeded with the pointwise
+minimum of the two maps is closed under min-plus composition with the
+Floyd–Warshall loop.  That is the fixpoint the paper's Algo 7 reaches by
+relaxing triangles through other portals; the result equals the true
 all-pairs shortest distances between portals on ``Gc`` (we test this
 against Dijkstra on the materialized combined graph).
 
@@ -21,37 +24,57 @@ refinement optimization (Sec. VI-A, Lemma VI.1).
 
 from __future__ import annotations
 
-import heapq
-import itertools
 from typing import Dict, FrozenSet, Iterable, List, Set, Tuple
+
+import numpy as np
+from numpy.typing import ArrayLike
 
 from repro.graph.labeled_graph import Vertex
 from repro.graph.protocol import GraphLike
 from repro.graph.traversal import INF, dijkstra
+from repro.portals.keyword_map import VertexPortalDistanceMap
 
 __all__ = [
     "PortalDistanceMap",
     "all_pairs_portal_distances",
+    "portal_order",
+    "private_portal_distances",
     "refine_portal_distances",
 ]
 
 
-class PortalDistanceMap:
-    """Symmetric map of shortest distances between portal nodes.
+def portal_order(portals: Iterable[Vertex]) -> List[Vertex]:
+    """The row/column order of portal matrices (portals may be incomparable)."""
+    return sorted(portals, key=repr)
 
-    Missing pairs are treated as unreachable (``inf``).  Storage is a
-    symmetric dict-of-dicts — every pair is stored in both orientations —
-    because :meth:`get` sits on the answer-refinement hot path and must
-    be a plain double dict lookup (portals may be incomparable objects,
-    so there is no cheap canonical ordering).  The map is tiny anyway:
-    ``O(|P|^2)`` with ``|P| << |V|``.
+
+class PortalDistanceMap:
+    """Immutable symmetric map of shortest distances between portal nodes.
+
+    Built once from a dense matrix whose rows and columns follow
+    :func:`portal_order`: ``inf`` entries are unreachable pairs, ``(p, q)``
+    and ``(q, p)`` both read the smaller of the two entries, and the
+    diagonal is zero whatever the matrix holds.  :meth:`get` sits on the
+    answer-refinement hot path, so the finite entries are also kept as a
+    dict-of-dicts of Python floats and a lookup is a plain double dict
+    lookup.  The map is tiny anyway: ``O(|P|^2)`` with ``|P| << |V|``.
     """
 
-    __slots__ = ("portals", "_adj")
+    __slots__ = ("portals", "matrix", "_adj")
 
-    def __init__(self, portals: Iterable[Vertex]) -> None:
+    def __init__(self, portals: Iterable[Vertex], matrix: ArrayLike) -> None:
         self.portals: FrozenSet[Vertex] = frozenset(portals)
-        self._adj: Dict[Vertex, Dict[Vertex, float]] = {}
+        order = portal_order(self.portals)
+        dense = np.array(matrix, dtype=np.float64).reshape(len(order), len(order))
+        dense = np.minimum(dense, dense.T)
+        np.fill_diagonal(dense, 0.0)
+        dense.setflags(write=False)
+        #: the read-only dense form, rows and columns in :func:`portal_order`
+        self.matrix = dense
+        self._adj: Dict[Vertex, Dict[Vertex, float]] = {
+            p: {q: d for q, d in zip(order, row) if d < INF and q is not p}
+            for p, row in zip(order, dense.tolist())
+        }
 
     def get(self, p: Vertex, q: Vertex) -> float:
         """Distance between two portals (``0`` on the diagonal)."""
@@ -62,33 +85,14 @@ class PortalDistanceMap:
             return INF
         return row.get(q, INF)
 
-    def set(self, p: Vertex, q: Vertex, d: float) -> None:
-        """Record ``d(p, q)``; the diagonal is implicit and immutable."""
-        if p != q:
-            self._adj.setdefault(p, {})[q] = d
-            self._adj.setdefault(q, {})[p] = d
-
-    def improve(self, p: Vertex, q: Vertex, d: float) -> bool:
-        """Lower ``d(p, q)`` to ``d`` if smaller; report whether it changed."""
-        if p == q or d >= self.get(p, q):
-            return False
-        self.set(p, q, d)
-        return True
-
     def pairs(self) -> Iterable[Tuple[Vertex, Vertex, float]]:
-        """Iterate each stored unordered pair once as ``(p, q, distance)``."""
+        """Iterate each reachable unordered pair once as ``(p, q, distance)``."""
         seen: set = set()
         for p, row in self._adj.items():
             for q, d in row.items():
                 if q not in seen:
                     yield p, q, d
             seen.add(p)
-
-    def copy(self) -> "PortalDistanceMap":
-        """An independent copy (refinement mutates in place)."""
-        out = PortalDistanceMap(self.portals)
-        out._adj = {p: dict(row) for p, row in self._adj.items()}
-        return out
 
     def __len__(self) -> int:
         return sum(len(row) for row in self._adj.values()) // 2
@@ -106,18 +110,21 @@ def all_pairs_portal_distances(
     are settled.  Portals absent from ``graph`` simply stay unreachable —
     this happens for private-only analysis of portals of another owner.
     """
-    portal_list = sorted(portals, key=repr)
-    pmap = PortalDistanceMap(portal_list)
-    present = [p for p in portal_list if p in graph]
-    target_set = set(present)
-    for p in present:
-        dist = dijkstra(graph, p, targets=set(target_set))
-        for q in present:
-            if q != p:
-                d = dist.get(q, INF)
-                if d < INF:
-                    pmap.improve(p, q, d)
-    return pmap
+    order = portal_order(portals)
+    present = {p for p in order if p in graph}
+    rows = (dijkstra(graph, p, targets=set(present)) if p in present else {}
+            for p in order)
+    return PortalDistanceMap(order, [[row.get(q, INF) for q in order] for row in rows])
+
+
+def private_portal_distances(
+    vertex_portal: VertexPortalDistanceMap, portals: Iterable[Vertex]
+) -> PortalDistanceMap:
+    """``d'(p_i, p_j)`` read off a private graph's vertex-portal map: its
+    per-portal Dijkstras already settled every portal, so none runs here."""
+    order = portal_order(portals)
+    rows = (vertex_portal.portal_distances(p) for p in order)
+    return PortalDistanceMap(order, [[row.get(q, INF) for q in order] for row in rows])
 
 
 def refine_portal_distances(
@@ -132,40 +139,21 @@ def refine_portal_distances(
     distance — exactly the pairs that can make answer refinement
     worthwhile (Lemma VI.1): a detour through an unrefined pair is a
     private-graph path and can never beat a private shortest distance.
+
+    Both maps must cover the same portals.
     """
+    # the union, not either operand: its iteration order is the one the
+    # full Eq.-5 loop walks, which picks among equal-distance witnesses
     portals = public_map.portals | private_map.portals
-    combined = PortalDistanceMap(portals)
-    counter = itertools.count()  # tie-break: portals may be incomparable
-    queue: List[Tuple[float, int, Vertex, Vertex]] = []
-
-    # Initialization: pointwise minimum of the two maps (Algo 7 lines 2-5).
-    for p, q in itertools.combinations(sorted(portals, key=repr), 2):
-        d = min(public_map.get(p, q), private_map.get(p, q))
-        if d < INF:
-            combined.set(p, q, d)
-            heapq.heappush(queue, (d, next(counter), p, q))
-
-    # Fixpoint relaxation through intermediate portals (lines 6-14).
-    portal_list = list(portals)
-    while queue:
-        dist, _, p1, p2 = heapq.heappop(queue)
-        if dist > combined.get(p1, p2):
-            continue  # stale queue entry
-        for pi in portal_list:
-            if pi == p1 or pi == p2:
-                continue
-            via_p1 = combined.get(pi, p1)
-            if via_p1 + dist < combined.get(pi, p2):
-                combined.set(pi, p2, via_p1 + dist)
-                heapq.heappush(queue, (via_p1 + dist, next(counter), pi, p2))
-            via_p2 = combined.get(pi, p2)
-            if via_p2 + dist < combined.get(pi, p1):
-                combined.set(pi, p1, via_p2 + dist)
-                heapq.heappush(queue, (via_p2 + dist, next(counter), pi, p1))
+    private = private_map.matrix
+    dense = np.minimum(public_map.matrix, private)
+    order = portal_order(portals)
+    for k in range(len(order)):
+        np.minimum(dense, dense[:, k, None] + dense[None, k, :], out=dense)
 
     refined: Set[Tuple[Vertex, Vertex]] = set()
-    for p, q, d in combined.pairs():
-        if d < private_map.get(p, q):
-            refined.add((p, q))
-            refined.add((q, p))
-    return combined, refined
+    for i, j in zip(*np.nonzero(np.triu(dense < private, k=1))):
+        p, q = order[i], order[j]
+        refined.add((p, q))
+        refined.add((q, p))
+    return PortalDistanceMap(portals, dense), refined

@@ -40,6 +40,9 @@ def _state_equal(engine: PPKWS, owner: str) -> None:
             assert att.portal_map.get(p, q) == pytest.approx(
                 fresh.portal_map.get(p, q)
             ), (p, q)
+            assert att.private_portal_map.get(p, q) == pytest.approx(
+                fresh.private_portal_map.get(p, q)
+            ), (p, q)
     assert att.refined_portal_pairs == fresh.refined_portal_pairs
 
 
@@ -66,6 +69,26 @@ class TestIncrementalInsert:
     def test_add_edge_weight_improvement(self, dynamic_setup):
         engine, dyn = dynamic_setup
         dyn.add_edge("x1", "x2", 0.5)  # shorten an existing edge
+        _state_equal(engine, "bob")
+
+    def test_non_portal_add_edge_searches_no_public_graph(
+        self, dynamic_setup, monkeypatch
+    ):
+        # neither G nor the portal set changed: the stored public portal
+        # map is reused instead of |P| Dijkstras on G
+        import repro.portals.distance_map as distance_map
+
+        engine, dyn = dynamic_setup
+        original = distance_map.dijkstra
+        searched = []
+
+        def dijkstra(graph, *args, **kwargs):
+            searched.append(graph is engine.public)
+            return original(graph, *args, **kwargs)
+
+        monkeypatch.setattr(distance_map, "dijkstra", dijkstra)
+        dyn.add_edge("x1", "x3")
+        assert True not in searched
         _state_equal(engine, "bob")
 
     def test_add_edge_noop_when_not_improving(self, dynamic_setup):
@@ -128,6 +151,43 @@ class TestDeletions:
         dyn = DynamicPrivateGraph(engine, "bob")
         with pytest.raises(GraphError):
             dyn.remove_vertex(2)
+
+
+    def test_rejected_remove_vertex_changes_nothing(self):
+        # regression: the vertex used to be deleted before the check, so
+        # the attachment kept routing through a portal no longer in G'
+        pub = LabeledGraph.from_edges([(0, 1), (1, 2)], {2: {"t"}})
+        priv = LabeledGraph.from_edges([(0, "x"), ("x", "y")], {"y": {"t"}})
+        engine = PPKWS(pub, sketch_k=2)
+        engine.attach("u", priv)
+        dyn = DynamicPrivateGraph(engine, "u")
+        before = engine.attachment_epoch
+        with pytest.raises(GraphError):
+            dyn.remove_vertex(0)
+        assert 0 in dyn.graph
+        assert dyn.graph.has_edge(0, "x")
+        assert engine.attachment_epoch == before
+        _state_equal(engine, "u")
+
+    def test_rebuild_keeps_the_owner_attached(self, dynamic_setup, monkeypatch):
+        # the rebuilt state replaces the old one in one step: no window in
+        # which queries for the owner fail with unknown_owner
+        import repro.core.framework as framework
+
+        engine, dyn = dynamic_setup
+        original = framework.portal_nodes
+        builds = []
+
+        def portal_nodes(public, private):
+            builds.append("bob" in engine.owners())
+            return original(public, private)
+
+        monkeypatch.setattr(framework, "portal_nodes", portal_nodes)
+        before = engine.attachment_epoch
+        dyn.remove_edge("x2", "x4")
+        assert builds == [True]
+        assert engine.attachment_epoch == before + 1
+        _state_equal(engine, "bob")
 
 
 class TestQueriesAfterMutation:
